@@ -17,14 +17,12 @@
 //
 // Usage:
 //
-//	cspcheck [-depth N] [-nat W] [-model M] [-deadlocks] [-store DIR] [-workers N] [-timeout D] [-stats] file.csp
+//	cspcheck [-depth N] [-nat W] [-model M] [-store DIR] [-workers N] [-timeout D] [-stats] file.csp
 //
-// Exit status 1 when any assertion fails (or the deadlock search finds
-// one), 2 on usage or load errors.
+// Exit status 1 when any assertion fails, 2 on usage or load errors.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -34,12 +32,11 @@ import (
 )
 
 func main() {
-	app := cli.New("cspcheck", "cspcheck [-depth N] [-nat W] [-model M] [-deadlocks] [-store DIR] [-workers N] [-timeout D] [-stats] file.csp")
+	app := cli.New("cspcheck", "cspcheck [-depth N] [-nat W] [-model M] [-store DIR] [-workers N] [-timeout D] [-stats] file.csp")
 	app.NatFlag(3)
 	app.StoreFlag()
 	app.ModelFlag()
 	depth := flag.Int("depth", 8, "trace-length bound for the exhaustive check")
-	deadlocks := flag.Bool("deadlocks", false, "also search asserted processes for reachable deadlocks (deprecated: prefer -model failures with 'sat deadlockfree' asserts)")
 	args := app.Parse(1)
 	mdl := app.Model()
 	ctx, cancel := app.Context()
@@ -67,56 +64,8 @@ func main() {
 			bad = true
 		}
 	}
-	if *deadlocks {
-		if findDeadlocks(ctx, app, mod, *depth) {
-			bad = true
-		}
-	}
 	app.Finish()
 	if bad {
 		os.Exit(1)
 	}
-}
-
-// findDeadlocks runs the deadlock search over each distinct unquantified
-// asserted process; it returns true if any deadlock was found.
-func findDeadlocks(ctx context.Context, app *cli.App, mod *csp.Module, depth int) bool {
-	opts := csp.CheckOptions{Depth: depth, Workers: app.Workers}
-	seen := map[string]bool{}
-	found := false
-	for _, decl := range mod.Asserts() {
-		if len(decl.Quants) != 0 {
-			continue
-		}
-		key := decl.Proc.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		dls, err := mod.Deadlocks(ctx, decl.Proc, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cspcheck: deadlock search for %s: %v\n", decl.Proc, err)
-			found = true
-			continue
-		}
-		if len(dls) == 0 {
-			fmt.Printf("OK    %s is deadlock-free up to depth %d\n", decl.Proc, depth)
-			continue
-		}
-		found = true
-		for _, d := range dls {
-			fmt.Printf("DEAD  %s can deadlock after %s\n      stuck residual: %s\n",
-				decl.Proc, d.Trace, residual(d.State.Proc))
-		}
-	}
-	return found
-}
-
-func residual(p csp.Proc) string {
-	s := p.String()
-	const maxShown = 120
-	if len(s) > maxShown {
-		return s[:maxShown] + "…"
-	}
-	return s
 }

@@ -45,9 +45,9 @@ func main() {
 
 	// --- trace model ---
 	fmt.Printf("== trace model (the paper's §3 prefix closures, depth %d) ==\n", *depth)
-	pq, err := mod.Refines(ctx, p, q, copts)
+	pq, err := mod.Refine(ctx, p, q, copts)
 	exitOn(err)
-	qp, err := mod.Refines(ctx, q, p, copts)
+	qp, err := mod.Refine(ctx, q, p, copts)
 	exitOn(err)
 	printRefine(pName, qName, pq.OK, traceWitness(pq.Witness))
 	printRefine(qName, pName, qp.OK, traceWitness(qp.Witness))

@@ -165,7 +165,10 @@ func experiments() []experiment {
 			return "emptiness proof + model check of STOP", nil
 		}},
 		{"E10", "STOP | P = P in the trace model (§4)", func(d int) (string, error) {
-			ck := copyMod().Checker(runCtx, csp.CheckOptions{Depth: d, Workers: workers})
+			ck, err := copyMod().Checker(runCtx, csp.CheckOptions{Depth: d, Workers: workers})
+			if err != nil {
+				return "", err
+			}
 			copier := syntax.Ref{Name: paper.NameCopier}
 			res, err := ck.Equivalent(syntax.Alt{L: syntax.Stop{}, R: copier}, copier)
 			if err != nil {
@@ -287,7 +290,10 @@ func experiments() []experiment {
 				return "", err
 			}
 			var steps []proof.Step
-			prover := mod.Prover(runCtx, csp.CheckOptions{Validity: protoValidity()})
+			prover, err := mod.Prover(runCtx, csp.CheckOptions{Validity: protoValidity()})
+			if err != nil {
+				return "", err
+			}
 			prover.Steps = &steps
 			if _, err := prover.Check(pr); err != nil {
 				return "", err

@@ -124,7 +124,10 @@ func runGroup(ctx context.Context, app *cli.App, g group, verbose, show bool) bo
 	if verbose || show {
 		// Sequential replay: rule logging and step collection need the
 		// per-checker Log/Steps hooks, which a batch fork clears.
-		checker := g.mod.Prover(ctx, copts)
+		checker, err := g.mod.Prover(ctx, copts)
+		if err != nil {
+			app.Fatal(err)
+		}
 		if verbose {
 			checker.Log = func(s string) { fmt.Println("   ", s) }
 		}

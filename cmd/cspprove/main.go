@@ -104,7 +104,10 @@ func main() {
 // renderProofs re-checks each successful recursion proof with step
 // collection on and prints it in the paper's numbered style.
 func renderProofs(mod *csp.Module, ctx context.Context, copts csp.CheckOptions, results []csp.ProveResult) {
-	prover := mod.Prover(ctx, copts)
+	prover, err := mod.Prover(ctx, copts)
+	if err != nil {
+		return // the same load failure is reported by ProveAsserts
+	}
 	seen := map[string]bool{}
 	for _, r := range results {
 		if !r.OK || r.Proof == nil || r.Method == "network glue" {

@@ -8,8 +8,7 @@
 // The -engine flag picks how trace sets are computed: op (the operational
 // explorer, default), denote (the literal §3.3 approximation chain, which
 // also reports its iteration count), or runtime (the prefix closure of one
-// random goroutine walk). The older -den spelling remains as a deprecated
-// alias for -engine denote.
+// random goroutine walk).
 //
 // With -store DIR the run shares cspserved's artifact store: a trace set
 // already persisted for this exact source, engine, depth, and process is
@@ -37,14 +36,10 @@ func main() {
 	app.EngineFlag("op")
 	depth := flag.Int("depth", 6, "trace-length bound")
 	maxOnly := flag.Bool("max", false, "print only maximal traces")
-	den := flag.Bool("den", false, "use the denotational engine (deprecated: use -engine denote)")
 	dot := flag.Bool("dot", false, "emit the bounded LTS as a Graphviz digraph instead of traces")
 	args := app.Parse(2)
 	mdl := app.Model()
 	engine := app.Engine()
-	if *den {
-		engine = csp.EngineDenote
-	}
 	ctx, cancel := app.Context()
 	defer cancel()
 

@@ -8,19 +8,20 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"cspsat/internal/assertion"
-	"cspsat/internal/core"
 	"cspsat/internal/paper"
-	"cspsat/internal/proof"
 	"cspsat/internal/proofs"
 	"cspsat/internal/value"
+	"cspsat/pkg/csp"
 )
 
 func main() {
-	sys, err := core.Load(paper.ProtocolSpec, core.Options{NatWidth: 2})
+	ctx := context.Background()
+	mod, err := csp.Load(ctx, paper.ProtocolSpec, csp.Options{NatWidth: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,10 +37,13 @@ func main() {
 		},
 		DefaultDom: msgs,
 	}
-	prover := sys.Prover(validity)
+	prover, err := mod.Prover(ctx, csp.CheckOptions{Validity: validity})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, pr := range []struct {
 		title string
-		p     proof.Proof
+		p     csp.Proof
 	}{
 		{"Table 1: sender sat f(wire) <= input", proofs.SenderTable1Proof()},
 		{"exercise: receiver sat output <= f(wire)", proofs.ReceiverProof()},
@@ -53,15 +57,19 @@ func main() {
 	}
 
 	// --- 2. Model checking the same claims exhaustively ---
-	results, err := sys.CheckAll(8)
+	results, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(core.FormatAssertResults(results))
+	fmt.Print(csp.FormatAssertResults(results))
 
 	// --- 3. Concurrent execution with an online monitor ---
-	run, err := sys.RunMonitored("protocol", paper.ProtocolSat(), 42, 300)
+	protocol, err := mod.Proc("protocol")
+	if err != nil {
+		log.Fatal(err)
+	}
+	run, err := mod.Run(ctx, protocol, csp.EngineOptions{Seed: 42, MaxEvents: 300}, mod.MonitorSat(paper.ProtocolSat()))
 	if err != nil {
 		log.Fatal(err)
 	}

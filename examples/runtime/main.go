@@ -13,10 +13,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"cspsat/internal/core"
+	"cspsat/pkg/csp"
 )
 
 const okSpec = `
@@ -49,12 +50,17 @@ assert net sat #sent <= #credit
 `
 
 func run(title, spec string) {
-	sys, err := core.Load(spec, core.Options{})
+	ctx := context.Background()
+	mod, err := csp.Load(ctx, spec, csp.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	decl := sys.Asserts[0]
-	res, err := sys.RunMonitored("net", decl.A, 1, 40)
+	net, err := mod.Proc("net")
+	if err != nil {
+		log.Fatal(err)
+	}
+	decl := mod.Asserts()[0]
+	res, err := mod.Run(ctx, net, csp.EngineOptions{Seed: 1, MaxEvents: 40}, mod.MonitorSat(decl.A))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +76,7 @@ func run(title, spec string) {
 	}
 
 	// The model checker sees the same stories at its bounded depth.
-	check, err := sys.CheckAll(6)
+	check, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 6})
 	if err != nil {
 		log.Fatal(err)
 	}

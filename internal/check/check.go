@@ -21,7 +21,6 @@ import (
 	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
-	"cspsat/internal/value"
 )
 
 // Violation is a counterexample to P sat R: a trace of P whose history
@@ -106,9 +105,6 @@ func New(env sem.Env, funcs *assertion.Registry, depth int) *Checker {
 // Env returns the checker's environment.
 func (c *Checker) Env() sem.Env { return c.env }
 
-// Funcs returns the checker's function registry.
-func (c *Checker) Funcs() *assertion.Registry { return c.funcs }
-
 // Depth returns the trace-length bound.
 func (c *Checker) Depth() int { return c.depth }
 
@@ -124,8 +120,9 @@ func (c *Checker) traces(p syntax.Proc) (*closure.Set, error) {
 
 // Sat checks P sat R: every trace of p (to the depth bound) must satisfy a.
 // Free variables of a must be bound in the checker's environment or
-// quantified inside a; use SatForAll for the paper's implicitly quantified
-// shared variables.
+// quantified inside a; the paper's implicitly quantified shared variables
+// are expanded by the caller (pkg/csp's CheckAll instantiates each assert
+// quantifier over its sampled domain).
 func (c *Checker) Sat(p syntax.Proc, a assertion.A) (Result, error) {
 	if assertion.Behavioural(a) {
 		return c.satBehavioural(p, a)
@@ -213,29 +210,6 @@ func (c *Checker) failuresModel(p syntax.Proc) (*failures.Model, error) {
 	return fm, nil
 }
 
-// SatForAll checks "∀x∈dom. P[x] sat R[x]" by instantiating the shared
-// variable x with every value of the (sampled) domain — the paper's reading
-// of a free variable occurring in both P and R.
-func (c *Checker) SatForAll(x string, dom value.Domain, p syntax.Proc, a assertion.A) (Result, error) {
-	var total Result
-	total.OK = true
-	total.Depth = c.depth
-	for _, v := range dom.Enumerate() {
-		inst := syntax.SubstProc(p, x, sem.ValueToExpr(v))
-		instA := assertion.SubstVar(a, x, assertion.Lit{Val: v})
-		r, err := c.Sat(inst, instA)
-		if err != nil {
-			return Result{}, fmt.Errorf("check: instance %s=%v: %w", x, v, err)
-		}
-		total.TracesChecked += r.TracesChecked
-		if !r.OK {
-			r.TracesChecked = total.TracesChecked
-			return r, nil
-		}
-	}
-	return total, nil
-}
-
 // RefineResult reports a refinement check under some semantic model.
 type RefineResult struct {
 	OK bool
@@ -243,12 +217,13 @@ type RefineResult struct {
 	// cannot perform, when OK is false. Set under both models (a failures
 	// counterexample always includes its trace).
 	Witness trace.T
-	// Failure is the violating stable failure (s, X) when OK is false and
-	// the check ran under the failures model: after Witness the
-	// implementation can stably refuse everything outside
-	// Failure.ImplAcceptance, which no acceptance of the specification
-	// permits. Nil under the trace model, and nil under the failures model
-	// when the violation was already at the trace level.
+	// Failure is the failures counterexample when OK is false and the
+	// check ran under the failures model; it is always set there. When
+	// Failure.ImplAcceptance is non-nil the violation is a stable failure
+	// (s, X): after Witness the implementation can stably refuse
+	// everything outside that acceptance, which no acceptance of the
+	// specification permits. When it is nil the violation was already at
+	// the trace level. Nil under the trace model.
 	Failure *failures.Counterexample
 	// Model is the semantic model the verdict was computed under.
 	Model model.Model
@@ -309,14 +284,6 @@ func (c *Checker) refinesFailures(impl, spec syntax.Proc) (RefineResult, error) 
 		return RefineResult{OK: false, Witness: cex.Trace, Failure: cex, Depth: c.depth, Model: c.Model}, nil
 	}
 	return RefineResult{OK: true, Depth: c.depth, Model: c.Model}, nil
-}
-
-// Deadlocks searches for reachable stuck configurations to the depth
-// bound. A sat-check cannot see them (the paper's §4 limitation: STOP
-// satisfies every satisfiable assertion); this is the complementary
-// analysis that can.
-func (c *Checker) Deadlocks(p syntax.Proc) ([]op.Deadlock, error) {
-	return op.FindDeadlocks(op.NewState(p, c.env), c.depth)
 }
 
 // Equivalent checks trace equivalence of two processes up to the depth

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"testing"
 
 	"cspsat/internal/assertion"
@@ -8,7 +9,7 @@ import (
 	"cspsat/internal/paper"
 	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
-	"cspsat/internal/value"
+	"cspsat/pkg/csp"
 )
 
 func TestCopierSatisfiesPaperClaims(t *testing.T) {
@@ -76,13 +77,31 @@ func TestProtocolSatisfiesPaperClaims(t *testing.T) {
 		}
 	})
 	t.Run("E5 lemma forall x. q[x] sat f(wire)<=x^input", func(t *testing.T) {
-		dom := value.IntRange{Lo: 0, Hi: 1}
-		res, err := c.SatForAll("x", dom, syntax.Ref{Name: paper.NameQ, Sub: syntax.Var{Name: "x"}}, paper.QSat())
+		// The shared variable x ranges over M = {0..1}; the quantifier is
+		// expanded by the facade's assert driver, one instance per value.
+		mod, err := csp.Load(context.Background(), paper.ProtocolSpec, csp.Options{NatWidth: 2})
 		if err != nil {
-			t.Fatalf("SatForAll: %v", err)
+			t.Fatal(err)
+		}
+		results, err := mod.CheckAll(context.Background(), csp.CheckOptions{Depth: 8})
+		if err != nil {
+			t.Fatalf("CheckAll: %v", err)
+		}
+		var res check.Result
+		found := false
+		for _, r := range results {
+			if len(r.Decl.Quants) == 1 && r.Decl.Quants[0].Var == "x" {
+				res, found = r.Result, true
+			}
+		}
+		if !found {
+			t.Fatal("protocol spec lost its quantified q[x] assert")
 		}
 		if !res.OK {
 			t.Fatalf("violated: %s", res)
+		}
+		if res.TracesChecked != 134 {
+			t.Errorf("TracesChecked = %d over both instances, want 134", res.TracesChecked)
 		}
 	})
 	t.Run("E6 receiver sat output<=f(wire)", func(t *testing.T) {

@@ -13,9 +13,6 @@
 //	-model M     semantic model for verdicts: traces (default) or failures
 //	-engine E    trace engine: op (default), denote, or runtime
 //
-// Older per-binary spellings (csptrace -den, cspcheck -deadlocks) keep
-// working but are deprecated in favour of this pair.
-//
 // plus the usage text, argument-count checking (exit 2, matching the
 // documented contract of every tool), and the "tool: error" reporting
 // convention. App.Context additionally wires SIGINT/SIGTERM into the run

@@ -1,37 +1,18 @@
-// Package core is the library's facade: it ties the parser, the semantic
-// engines, the model checker, the proof checker and the concurrent runtime
-// together behind one System type. The command-line tools and the examples
-// are thin wrappers over this package.
-//
-// Typical use:
-//
-//	sys, err := core.Load(src, core.Options{})
-//	res, err := sys.CheckAll(8)      // model-check every assert clause
-//	run, err := sys.Run("protocol", 42, 200)  // execute on goroutines
+// Package core is the elaboration step between the parser and the engines:
+// it turns a parsed module into a System, the module plus the evaluation
+// environment (sampled domains, constants, definitions) and the assertion
+// function registry every engine runs against. The questions the paper
+// asks of a System — traces, P sat R, refinement, proofs, failures — are
+// answered by pkg/csp, this package's only importer.
 package core
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"strings"
-	"sync/atomic"
-	"time"
 
 	"cspsat/internal/assertion"
-	"cspsat/internal/check"
-	"cspsat/internal/closure"
-	"cspsat/internal/failures"
-	"cspsat/internal/model"
-	"cspsat/internal/op"
 	"cspsat/internal/parser"
-	"cspsat/internal/pool"
-	"cspsat/internal/progress"
-	"cspsat/internal/proof"
-	"cspsat/internal/runtime"
 	"cspsat/internal/sem"
 	"cspsat/internal/syntax"
-	"cspsat/internal/value"
 )
 
 // Options configure a System.
@@ -61,19 +42,6 @@ func Load(src string, opts Options) (*System, error) {
 	}
 	sys := FromModule(f.Module, opts)
 	sys.Asserts = f.Asserts
-	return sys, nil
-}
-
-// LoadFile reads and parses a .csp file.
-func LoadFile(path string, opts Options) (*System, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := Load(string(data), opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s:%w", path, err)
-	}
 	return sys, nil
 }
 
@@ -119,273 +87,4 @@ func (s *System) ProcIdx(name string, idx int64) (syntax.Proc, error) {
 		return nil, fmt.Errorf("core: %q is not a process array", name)
 	}
 	return syntax.Ref{Name: name, Sub: syntax.IntLit{Val: idx}}, nil
-}
-
-// Traces enumerates the visible traces of a process to the given depth.
-func (s *System) Traces(p syntax.Proc, depth int) (*closure.Set, error) {
-	return op.Traces(p, s.env, depth)
-}
-
-// TracesContext is Traces under a context, with the exploration's BFS
-// frontier fanned across workers goroutines when workers > 1.
-func (s *System) TracesContext(ctx context.Context, p syntax.Proc, depth, workers int) (*closure.Set, error) {
-	return op.TracesContext(ctx, p, s.env, depth, workers)
-}
-
-// Denote computes the paper's denotational semantics of a process to the
-// given trace-length window.
-func (s *System) Denote(p syntax.Proc, depth int) (*closure.Set, error) {
-	return sem.Denote(p, s.env, depth)
-}
-
-// DenoteContext is Denote under a context, with each approximation-chain
-// pass recomputing the registered instances across workers goroutines when
-// workers > 1.
-func (s *System) DenoteContext(ctx context.Context, p syntax.Proc, depth, workers int) (*closure.Set, error) {
-	return sem.DenoteContext(ctx, p, s.env, depth, workers)
-}
-
-// Checker returns a model checker for this system at the given depth.
-func (s *System) Checker(depth int) *check.Checker {
-	return check.New(s.env, s.funcs, depth)
-}
-
-// CheckerContext returns a model checker bound to ctx with the given
-// exploration worker count.
-func (s *System) CheckerContext(ctx context.Context, depth, workers int) *check.Checker {
-	ck := check.New(s.env, s.funcs, depth)
-	ck.Ctx = ctx
-	ck.Workers = workers
-	return ck
-}
-
-// CheckerModel is CheckerContext with the semantic model pinned.
-func (s *System) CheckerModel(ctx context.Context, mdl model.Model, depth, workers int) *check.Checker {
-	ck := s.CheckerContext(ctx, depth, workers)
-	ck.Model = mdl
-	return ck
-}
-
-// Check model-checks P sat A to the given depth.
-func (s *System) Check(p syntax.Proc, a assertion.A, depth int) (check.Result, error) {
-	return s.Checker(depth).Sat(p, a)
-}
-
-// AssertResult pairs a parsed assert declaration with its check outcome:
-// Result for sat-asserts, Refine for refinement asserts.
-type AssertResult struct {
-	Decl   parser.AssertDecl
-	Result check.Result
-	Refine *check.RefineResult
-}
-
-// OK reports whether the assert held.
-func (r AssertResult) OK() bool {
-	if r.Refine != nil {
-		return r.Refine.OK
-	}
-	return r.Result.OK
-}
-
-// CheckAll model-checks every assert declaration of the loaded file,
-// expanding quantified sat-asserts over their (sampled) domains and
-// checking refinement asserts by trace-set inclusion.
-func (s *System) CheckAll(depth int) ([]AssertResult, error) {
-	return s.CheckAllContext(context.Background(), depth, 1, nil)
-}
-
-// CheckAllContext is CheckAllModel under the trace model.
-func (s *System) CheckAllContext(ctx context.Context, depth, workers int, prog progress.Func) ([]AssertResult, error) {
-	return s.CheckAllModel(ctx, model.Traces, depth, workers, prog)
-}
-
-// CheckAllModel is CheckAll under a context and a semantic model: the
-// assert declarations are distributed across a pool of workers goroutines
-// (each check itself runs serially — asserts outnumber cores long before a
-// single assert does), results come back in declaration order, and
-// cancellation aborts with an error wrapping csperr.ErrCanceled. prog, when
-// non-nil, receives a "check" stage event per completed assert.
-//
-// mdl is the run's requested model; a declaration that pins its own model
-// ("assert P refines Q in failures") overrides it for that declaration.
-func (s *System) CheckAllModel(ctx context.Context, mdl model.Model, depth, workers int, prog progress.Func) ([]AssertResult, error) {
-	start := time.Now()
-	out := make([]AssertResult, len(s.Asserts))
-	var done atomic.Int64
-	// Asserts are whole model checks, so like proof batches the adaptive
-	// cutover is just "more than one" — and WorkersAuto resolves to the
-	// machine size.
-	err := pool.Run(ctx, pool.Adaptive(workers, len(s.Asserts), 2), len(s.Asserts), func(i int) error {
-		decl := s.Asserts[i]
-		eff := mdl
-		if decl.Model != model.Traces {
-			eff = decl.Model
-		}
-		ck := s.CheckerModel(ctx, eff, depth, 1)
-		if decl.Refines != nil {
-			rr, err := ck.Refines(decl.Proc, decl.Refines)
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", decl, err)
-			}
-			out[i] = AssertResult{Decl: decl, Refine: &rr}
-		} else {
-			res, err := s.checkQuantified(ck, decl.Quants, decl.Proc, decl.A)
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", decl, err)
-			}
-			out[i] = AssertResult{Decl: decl, Result: res}
-		}
-		prog.Emit(progress.Event{
-			Stage:   "check",
-			Items:   int(done.Add(1)),
-			Total:   len(s.Asserts),
-			Elapsed: time.Since(start),
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	prog.Emit(progress.Event{
-		Stage:   "check",
-		Items:   len(s.Asserts),
-		Total:   len(s.Asserts),
-		Elapsed: time.Since(start),
-		Done:    true,
-	})
-	return out, nil
-}
-
-func (s *System) checkQuantified(ck *check.Checker, quants []parser.Quant, p syntax.Proc, a assertion.A) (check.Result, error) {
-	if len(quants) == 0 {
-		return ck.Sat(p, a)
-	}
-	q := quants[0]
-	dom, err := s.env.EvalSet(q.Dom)
-	if err != nil {
-		return check.Result{}, err
-	}
-	var total check.Result
-	total.OK = true
-	total.Depth = ck.Depth()
-	for _, v := range dom.Enumerate() {
-		inst := syntax.SubstProc(p, q.Var, sem.ValueToExpr(v))
-		instA := assertion.SubstVar(a, q.Var, assertion.Lit{Val: v})
-		r, err := s.checkQuantified(ck, quants[1:], inst, instA)
-		if err != nil {
-			return check.Result{}, fmt.Errorf("%s=%v: %w", q.Var, v, err)
-		}
-		total.TracesChecked += r.TracesChecked
-		if !r.OK {
-			r.TracesChecked = total.TracesChecked
-			return r, nil
-		}
-	}
-	return total, nil
-}
-
-// Prover returns a proof checker for this system. The validity
-// configuration bounds the discharge of pure obligations; pass nil for
-// defaults (history length ≤ 3, NAT-sampled domains).
-func (s *System) Prover(validity *assertion.ValidityConfig) *proof.Checker {
-	c := proof.NewChecker(s.env, s.funcs)
-	if validity != nil {
-		c.Validity = *validity
-	}
-	return c
-}
-
-// Prove checks a proof object and returns its verified conclusion.
-func (s *System) Prove(p proof.Proof) (proof.Claim, error) {
-	return s.Prover(nil).Check(p)
-}
-
-// Failures computes the stable-failures model of a process — the §4
-// extension where internal choice and deadlock potential are observable.
-func (s *System) Failures(p syntax.Proc, depth int) (*failures.Model, error) {
-	return failures.Compute(p, s.env, depth)
-}
-
-// FailuresContext is Failures under a context: cancellation aborts the BFS
-// with an error wrapping csperr.ErrCanceled.
-func (s *System) FailuresContext(ctx context.Context, p syntax.Proc, depth int) (*failures.Model, error) {
-	return failures.ComputeContext(ctx, p, s.env, depth)
-}
-
-// Run executes a named process as a concurrent goroutine network.
-func (s *System) Run(name string, seed int64, maxEvents int) (*runtime.Result, error) {
-	p, err := s.Proc(name)
-	if err != nil {
-		return nil, err
-	}
-	return runtime.Run(p, runtime.Config{Env: s.env, Seed: seed, MaxEvents: maxEvents})
-}
-
-// RunMonitored executes a named process with a sat-monitor attached.
-func (s *System) RunMonitored(name string, a assertion.A, seed int64, maxEvents int) (*runtime.Result, error) {
-	p, err := s.Proc(name)
-	if err != nil {
-		return nil, err
-	}
-	return runtime.Run(p, runtime.Config{
-		Env:       s.env,
-		Seed:      seed,
-		MaxEvents: maxEvents,
-		Monitor:   runtime.MonitorSat(a, s.env, s.funcs),
-	})
-}
-
-// Simulate random-walks a process for maxVisible visible events and returns
-// the observed trace.
-func (s *System) Simulate(p syntax.Proc, seed int64, maxVisible int) (traceStr string, err error) {
-	sim := op.NewSimulator(seed)
-	t, _, err := sim.Walk(op.NewState(p, s.env), maxVisible)
-	if err != nil {
-		return "", err
-	}
-	return t.String(), nil
-}
-
-// DomainOf evaluates a set expression in the system's environment —
-// convenience for tools that need to enumerate message domains.
-func (s *System) DomainOf(se syntax.SetExpr) (value.Domain, error) {
-	return s.env.EvalSet(se)
-}
-
-// FormatAssertResults renders CheckAll results as an aligned report.
-func FormatAssertResults(results []AssertResult) string {
-	var sb strings.Builder
-	for _, r := range results {
-		status := "OK  "
-		if !r.OK() {
-			status = "FAIL"
-		}
-		if r.Refine != nil {
-			fmt.Fprintf(&sb, "%s  %-70s (%s model, depth %d)\n", status, r.Decl.String(), r.Refine.Model, r.Refine.Depth)
-			if !r.Refine.OK {
-				if r.Refine.Failure != nil && r.Refine.Failure.ImplAcceptance != nil {
-					fmt.Fprintf(&sb, "      witness: after %s impl stably offers only %s, which spec never permits\n",
-						r.Refine.Witness, r.Refine.Failure.ImplAcceptance)
-				} else {
-					fmt.Fprintf(&sb, "      witness: impl performs %s which spec cannot\n", r.Refine.Witness)
-				}
-			}
-			continue
-		}
-		if r.Result.Vacuous {
-			fmt.Fprintf(&sb, "%s  %-70s (vacuous under traces model; re-check with -model failures)\n",
-				status, r.Decl.String())
-			continue
-		}
-		fmt.Fprintf(&sb, "%s  %-70s (%d traces, depth %d)\n",
-			status, r.Decl.String(), r.Result.TracesChecked, r.Result.Depth)
-		if !r.Result.OK {
-			if r.Result.Refusal != nil {
-				fmt.Fprintf(&sb, "      counterexample: %s\n", r.Result.Refusal)
-			} else {
-				fmt.Fprintf(&sb, "      counterexample: %s\n", r.Result.Counter)
-			}
-		}
-	}
-	return sb.String()
 }

@@ -1,23 +1,30 @@
+// The elaboration step is exercised through pkg/csp, its only importer:
+// every Module loads, resolves processes and evaluates against the System
+// this package builds.
 package core_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"cspsat/internal/assertion"
-	"cspsat/internal/core"
+	"cspsat/internal/op"
 	"cspsat/internal/paper"
 	"cspsat/internal/proofs"
+	"cspsat/pkg/csp"
 )
 
+var ctx = context.Background()
+
 func TestLoadAndCheckAllCopier(t *testing.T) {
-	sys, err := core.Load(paper.CopierSpec, core.Options{NatWidth: 2})
+	mod, err := csp.Load(ctx, paper.CopierSpec, csp.Options{NatWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := sys.CheckAll(7)
+	results, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,18 +36,18 @@ func TestLoadAndCheckAllCopier(t *testing.T) {
 			t.Errorf("assert failed: %s: %s", r.Decl, r.Result)
 		}
 	}
-	report := core.FormatAssertResults(results)
+	report := csp.FormatAssertResults(results)
 	if !strings.Contains(report, "OK") || strings.Contains(report, "FAIL") {
 		t.Errorf("report:\n%s", report)
 	}
 }
 
 func TestCheckAllQuantifiedAssert(t *testing.T) {
-	sys, err := core.Load(paper.ProtocolSpec, core.Options{NatWidth: 2})
+	mod, err := csp.Load(ctx, paper.ProtocolSpec, csp.Options{NatWidth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := sys.CheckAll(6)
+	results, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +70,11 @@ func TestCheckAllReportsCounterexample(t *testing.T) {
 p = a!1 -> p
 assert p sat #a <= 2
 `
-	sys, err := core.Load(src, core.Options{})
+	mod, err := csp.Load(ctx, src, csp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := sys.CheckAll(5)
+	results, err := mod.CheckAll(ctx, csp.CheckOptions{Depth: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +84,7 @@ assert p sat #a <= 2
 	if results[0].Result.Counter == nil {
 		t.Fatal("no counterexample")
 	}
-	report := core.FormatAssertResults(results)
+	report := csp.FormatAssertResults(results)
 	if !strings.Contains(report, "FAIL") || !strings.Contains(report, "counterexample") {
 		t.Errorf("report:\n%s", report)
 	}
@@ -89,23 +96,23 @@ func TestLoadFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(paper.CopierSpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadFile(path, core.Options{}); err != nil {
+	if _, err := csp.LoadFile(ctx, path, csp.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadFile(filepath.Join(dir, "missing.csp"), core.Options{}); err == nil {
+	if _, err := csp.LoadFile(ctx, filepath.Join(dir, "missing.csp"), csp.Options{}); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	bad := filepath.Join(dir, "bad.csp")
 	if err := os.WriteFile(bad, []byte("p = ???"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadFile(bad, core.Options{}); err == nil {
+	if _, err := csp.LoadFile(ctx, bad, csp.Options{}); err == nil {
 		t.Fatal("unparsable file accepted")
 	}
 }
 
 func TestProcLookups(t *testing.T) {
-	sys := core.FromModule(paper.ProtocolSystem(2), core.Options{NatWidth: 2})
+	sys := csp.FromModule(paper.ProtocolSystem(2), csp.Options{NatWidth: 2})
 	if _, err := sys.Proc(paper.NameSender); err != nil {
 		t.Error(err)
 	}
@@ -124,8 +131,8 @@ func TestProcLookups(t *testing.T) {
 }
 
 func TestProveThroughFacade(t *testing.T) {
-	sys := core.FromModule(paper.CopySystem(), core.Options{NatWidth: 2})
-	cl, err := sys.Prove(proofs.CopierProof())
+	mod := csp.FromModule(paper.CopySystem(), csp.Options{NatWidth: 2})
+	cl, err := mod.Check(ctx, proofs.CopierProof(), csp.CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,38 +140,47 @@ func TestProveThroughFacade(t *testing.T) {
 		t.Errorf("conclusion = %s", cl)
 	}
 	validity := &assertion.ValidityConfig{MaxLen: 2}
-	if _, err := sys.Prover(validity).Check(proofs.CopierProof()); err != nil {
+	if _, err := mod.Check(ctx, proofs.CopierProof(), csp.CheckOptions{Validity: validity}); err != nil {
 		t.Errorf("custom validity config: %v", err)
 	}
 }
 
 func TestRunAndSimulateThroughFacade(t *testing.T) {
-	sys := core.FromModule(paper.CopySystem(), core.Options{NatWidth: 2})
-	res, err := sys.Run(paper.NameCopyNet, 3, 20)
+	mod := csp.FromModule(paper.CopySystem(), csp.Options{NatWidth: 2})
+	net, err := mod.Proc(paper.NameCopyNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := csp.EngineOptions{Seed: 3, MaxEvents: 20}
+	res, err := mod.Run(ctx, net, walk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Events) != 20 {
 		t.Errorf("events = %d", len(res.Events))
 	}
-	mon, err := sys.RunMonitored(paper.NameCopyNet, paper.CopyNetSat(), 3, 20)
+	mon, err := mod.Run(ctx, net, walk, mod.MonitorSat(paper.CopyNetSat()))
 	if err != nil || mon.MonitorErr != nil {
 		t.Fatalf("monitored run: %v %v", err, mon.MonitorErr)
 	}
-	p, _ := sys.Proc(paper.NameCopier)
-	s, err := sys.Simulate(p, 5, 6)
+	p, _ := mod.Proc(paper.NameCopier)
+	walked, _, err := op.NewSimulator(5).Walk(op.NewState(p, mod.Env()), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(s, "<input.") {
+	if s := walked.String(); !strings.HasPrefix(s, "<input.") {
 		t.Errorf("simulated trace = %s", s)
 	}
-	tr, err := sys.Traces(p, 3)
-	if err != nil || tr.Size() == 0 {
-		t.Fatalf("Traces: %v %v", tr, err)
+	opRes, err := mod.Traces(ctx, p, csp.EngineOptions{Depth: 3})
+	if err != nil {
+		t.Fatalf("Traces: %v", err)
 	}
-	den, err := sys.Denote(p, 3)
-	if err != nil || !den.Equal(tr) {
+	tr := opRes.Set
+	if tr.Size() == 0 {
+		t.Fatalf("Traces: %v", tr)
+	}
+	denRes, err := mod.Traces(ctx, p, csp.EngineOptions{Engine: csp.EngineDenote, Depth: 3})
+	if err != nil || !denRes.Set.Equal(tr) {
 		t.Fatalf("Denote disagrees with Traces: %v", err)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"os"
 	"testing"
 
-	"cspsat/internal/core"
 	"cspsat/internal/gen"
 	"cspsat/internal/op"
+	"cspsat/pkg/csp"
 )
 
 func TestFrontierSizes(t *testing.T) {
@@ -22,11 +22,11 @@ func TestFrontierSizes(t *testing.T) {
 		{"../../specs/tokenring.csp", "sys", 6},
 		{"../../specs/philosophers.csp", "safe", 5},
 	} {
-		sys, err := core.LoadFile(spec.file, core.Options{NatWidth: 2})
+		mod, err := csp.LoadFile(context.Background(), spec.file, csp.Options{NatWidth: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		probeRoot(t, sys, spec.root, spec.depth)
+		probeRoot(t, mod, spec.root, spec.depth)
 	}
 	for _, spec := range []struct {
 		name, src, root string
@@ -35,25 +35,25 @@ func TestFrontierSizes(t *testing.T) {
 		{"phil4", gen.Philosophers(4), "safe", 9},
 		{"ring8", gen.TokenRing(8), "sys", 8},
 	} {
-		sys, err := core.Load(spec.src, core.Options{NatWidth: 2})
+		mod, err := csp.Load(context.Background(), spec.src, csp.Options{NatWidth: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "== %s\n", spec.name)
-		probeRoot(t, sys, spec.root, spec.depth)
+		probeRoot(t, mod, spec.root, spec.depth)
 	}
 }
 
-func probeRoot(t *testing.T, sys *core.System, root string, depth int) {
+func probeRoot(t *testing.T, mod *csp.Module, root string, depth int) {
 	t.Helper()
-	p, err := sys.Proc(root)
+	p, err := mod.Proc(root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	op.SetFrontierProbe(func(level, n int) { fmt.Fprintf(os.Stderr, "%s level=%d n=%d\n", root, level, n) })
 	defer op.SetFrontierProbe(nil)
 	x := &op.Explorer{Workers: 8}
-	if _, err := x.TracesContext(context.Background(), op.NewState(p, sys.Env()), depth); err != nil {
+	if _, err := x.TracesContext(context.Background(), op.NewState(p, mod.Env()), depth); err != nil {
 		t.Fatal(err)
 	}
 }

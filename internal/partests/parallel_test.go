@@ -288,7 +288,10 @@ func TestCheckAllParallel(t *testing.T) {
 // including the counter of discharged obligations.
 func TestBatchProofChecking(t *testing.T) {
 	mod := loadSpec(t, "copier.csp") // the spec parse only supplies the env shape
-	prover := mod.Prover(context.Background(), csp.CheckOptions{})
+	prover, err := mod.Prover(context.Background(), csp.CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	obs := make([]csp.Obligation, 8)
 	for i := range obs {
 		obs[i] = csp.Obligation{Name: fmt.Sprintf("triv-%d", i), Proof: proof.Triviality{P: syntax.Stop{}, T: assertion.True()}}

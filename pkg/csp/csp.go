@@ -1,7 +1,10 @@
 // Package csp is the public facade of this repository: one entry point
 // over the parser, the three trace engines (operational explorer,
 // denotational approximation chain, goroutine runtime), the model checker,
-// the proof checker, and the stable-failures extension.
+// the proof checker, and the stable-failures extension. It is the one way
+// in: the commands, the server and the examples ask every question through
+// a Module, and internal/core below it only elaborates a parsed module into
+// the environment the engines run against.
 //
 // The engines proliferated their own call conventions as they were built
 // (op.Traces vs sem.Denoter vs runtime.Run, each with positional
@@ -101,8 +104,6 @@ type (
 	CheckResult = check.Result
 	// RefineResult is a trace-refinement verdict with witness.
 	RefineResult = check.RefineResult
-	// AssertResult pairs an assert declaration with its verdict.
-	AssertResult = core.AssertResult
 	// AssertDecl is a parsed assert declaration.
 	AssertDecl = parser.AssertDecl
 	// Progress receives engine progress events; see ProgressEvent.
@@ -216,15 +217,11 @@ const WorkersAuto = pool.WorkersAuto
 // MaxEvents zero.
 const DefaultMaxEvents = 40
 
-// Options configure loading a module.
-type Options struct {
-	// NatWidth is the enumeration width of the infinite NAT domain in the
-	// finite-branching engines. Zero means the package default.
-	NatWidth int
-	// Funcs supplies the registered assertion functions; nil means the
-	// default registry (which includes the paper's protocol function f).
-	Funcs *assertion.Registry
-}
+// Options configure loading a module: the NAT sample width and the
+// assertion-function registry (nil means the default registry, which
+// includes the paper's protocol function f). They are handed to the
+// elaboration step unchanged.
+type Options = core.Options
 
 // EngineOptions select and tune a trace engine.
 type EngineOptions struct {
@@ -257,7 +254,7 @@ func (o EngineOptions) depth() int {
 // CheckOptions tune the model checker and the proof checker.
 type CheckOptions struct {
 	// Model selects the semantic model verdicts are computed under; the
-	// zero value is ModelTraces. Under ModelFailures, Refine/Refines check
+	// zero value is ModelTraces. Under ModelFailures, Refine checks
 	// stable-failures refinement and behavioural asserts (deadlockfree,
 	// offers) are discharged against acceptance families instead of
 	// holding vacuously.
@@ -354,8 +351,8 @@ func (r *TraceResult) TraceSet() *TraceSet {
 // therefore answers without parsing or denoting anything.
 type Module struct {
 	// src and opts are retained for the lazy parse and for persisting the
-	// module as a store artifact. Modules built via FromModule/FromSystem
-	// have no source and are not persistable.
+	// module as a store artifact. Modules built via FromModule have no
+	// source and are not persistable.
 	src  string
 	opts Options
 
@@ -380,7 +377,7 @@ type Module struct {
 func (m *Module) system() (*core.System, error) {
 	m.parse.Do(func() {
 		if m.sys == nil {
-			m.sys, m.sysErr = core.Load(m.src, core.Options{NatWidth: m.opts.NatWidth, Funcs: m.opts.Funcs})
+			m.sys, m.sysErr = core.Load(m.src, m.opts)
 		}
 	})
 	return m.sys, m.sysErr
@@ -423,22 +420,12 @@ func newDeferred(src string, opts Options) *Module {
 // FromModule wraps an already-constructed syntax module (e.g. the paper
 // systems built by internal/paper).
 func FromModule(m *syntax.Module, opts Options) *Module {
-	return &Module{opts: opts, sys: core.FromModule(m, core.Options{NatWidth: opts.NatWidth, Funcs: opts.Funcs})}
+	return &Module{opts: opts, sys: core.FromModule(m, opts)}
 }
 
-// FromSystem wraps an existing core.System.
-func FromSystem(sys *core.System) *Module { return &Module{sys: sys} }
-
 // Source returns the module's source text; empty for modules built via
-// FromModule/FromSystem.
+// FromModule.
 func (m *Module) Source() string { return m.src }
-
-// System exposes the underlying core.System for callers that need engine
-// plumbing the facade does not cover, forcing the parse if deferred.
-func (m *Module) System() *core.System { sys, _ := m.system(); return sys }
-
-// Syntax returns the parsed module (definitions, sets, constants).
-func (m *Module) Syntax() *syntax.Module { return m.System().Module }
 
 // Env returns the module's evaluation environment.
 func (m *Module) Env() sem.Env {
@@ -490,12 +477,16 @@ func (m *Module) ProcIdx(name string, idx int64) (Proc, error) {
 // domains; for EngineRuntime it is the prefix closure of one random walk.
 func (m *Module) Traces(ctx context.Context, p Proc, opts EngineOptions) (*TraceResult, error) {
 	depth := opts.depth()
+	sys, err := m.system()
+	if err != nil {
+		return nil, err
+	}
 	switch opts.Engine {
 	case EngineOp:
 		x := op.NewExplorer()
 		x.Workers = opts.Workers
 		x.Progress = opts.Progress
-		set, err := x.TracesContext(ctx, op.NewState(p, m.Env()), depth)
+		set, err := x.TracesContext(ctx, op.NewState(p, sys.Env()), depth)
 		if err != nil {
 			return nil, err
 		}
@@ -504,7 +495,7 @@ func (m *Module) Traces(ctx context.Context, p Proc, opts EngineOptions) (*Trace
 		d := sem.NewDenoter(depth)
 		d.Workers = opts.Workers
 		d.Progress = opts.Progress
-		set, err := d.DenoteContext(ctx, p, m.Env())
+		set, err := d.DenoteContext(ctx, p, sys.Env())
 		if err != nil {
 			return nil, err
 		}
@@ -530,6 +521,10 @@ func (m *Module) Run(ctx context.Context, p Proc, opts EngineOptions, monitors .
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, err
 	}
+	sys, err := m.system()
+	if err != nil {
+		return nil, err
+	}
 	maxEvents := opts.MaxEvents
 	if maxEvents <= 0 {
 		maxEvents = DefaultMaxEvents
@@ -550,7 +545,7 @@ func (m *Module) Run(ctx context.Context, p Proc, opts EngineOptions, monitors .
 		}
 	}
 	return runtime.Run(p, runtime.Config{
-		Env:       m.Env(),
+		Env:       sys.Env(),
 		Seed:      opts.Seed,
 		MaxEvents: maxEvents,
 		Monitor:   monitor,
@@ -566,13 +561,25 @@ func (m *Module) MonitorSat(a Assertion) Monitor {
 // DotLTS renders the bounded labelled transition system of p as a Graphviz
 // digraph.
 func (m *Module) DotLTS(p Proc, depth int) (string, error) {
-	return op.DotLTS(op.NewState(p, m.Env()), depth)
+	sys, err := m.system()
+	if err != nil {
+		return "", err
+	}
+	return op.DotLTS(op.NewState(p, sys.Env()), depth)
 }
 
 // Checker returns a model checker bound to ctx with the options' model,
 // depth, and exploration worker count.
-func (m *Module) Checker(ctx context.Context, opts CheckOptions) *check.Checker {
-	return m.System().CheckerModel(ctx, opts.Model, opts.depth(), opts.Workers)
+func (m *Module) Checker(ctx context.Context, opts CheckOptions) (*check.Checker, error) {
+	sys, err := m.system()
+	if err != nil {
+		return nil, err
+	}
+	ck := check.New(sys.Env(), sys.Funcs(), opts.depth())
+	ck.Ctx = ctx
+	ck.Workers = opts.Workers
+	ck.Model = opts.Model
+	return ck, nil
 }
 
 // Sat model-checks "p sat a" to the options' depth under the options'
@@ -580,14 +587,11 @@ func (m *Module) Checker(ctx context.Context, opts CheckOptions) *check.Checker 
 // under ModelTraces and are discharged against acceptance families under
 // ModelFailures.
 func (m *Module) Sat(ctx context.Context, p Proc, a Assertion, opts CheckOptions) (CheckResult, error) {
-	return m.Checker(ctx, opts).Sat(p, a)
-}
-
-// Refines checks refinement impl ⊑ spec to the options' depth under the
-// options' model: trace refinement by default, stable-failures refinement
-// under ModelFailures.
-func (m *Module) Refines(ctx context.Context, impl, spec Proc, opts CheckOptions) (RefineResult, error) {
-	return m.Checker(ctx, opts).Refines(impl, spec)
+	ck, err := m.Checker(ctx, opts)
+	if err != nil {
+		return CheckResult{}, err
+	}
+	return ck.Sat(p, a)
 }
 
 // Refinement is the verdict of Module.Refine. A completed check always
@@ -616,7 +620,11 @@ func (r *Refinement) Err() error {
 // complementing the refused set X). The error is non-nil only when the
 // check itself could not complete (parse failure, cancellation, budget).
 func (m *Module) Refine(ctx context.Context, impl, spec Proc, opts CheckOptions) (*Refinement, error) {
-	rr, err := m.Refines(ctx, impl, spec, opts)
+	ck, err := m.Checker(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
+	rr, err := ck.Refines(impl, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -624,44 +632,53 @@ func (m *Module) Refine(ctx context.Context, impl, spec Proc, opts CheckOptions)
 }
 
 // Deadlocks searches p for reachable stuck configurations to the options'
-// depth.
+// depth. A sat-check cannot see them (the paper's §4 limitation: STOP
+// satisfies every satisfiable assertion); this is the complementary
+// analysis that can.
 func (m *Module) Deadlocks(ctx context.Context, p Proc, opts CheckOptions) ([]Deadlock, error) {
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	return m.Checker(ctx, opts).Deadlocks(p)
-}
-
-// CheckAll model-checks every assert declaration of the module under the
-// options' model, distributing them across opts.Workers goroutines. A
-// declaration that pins its own model ("assert P refines Q in failures")
-// overrides opts.Model for that declaration.
-func (m *Module) CheckAll(ctx context.Context, opts CheckOptions) ([]AssertResult, error) {
 	sys, err := m.system()
 	if err != nil {
 		return nil, err
 	}
-	return sys.CheckAllModel(ctx, opts.Model, opts.depth(), opts.Workers, opts.Progress)
+	return op.FindDeadlocks(op.NewState(p, sys.Env()), opts.depth())
 }
 
 // Prover returns a proof checker bound to ctx under the options' validity
 // configuration.
-func (m *Module) Prover(ctx context.Context, opts CheckOptions) *proof.Checker {
-	c := m.System().Prover(opts.Validity)
+func (m *Module) Prover(ctx context.Context, opts CheckOptions) (*proof.Checker, error) {
+	sys, err := m.system()
+	if err != nil {
+		return nil, err
+	}
+	c := proof.NewChecker(sys.Env(), sys.Funcs())
+	if opts.Validity != nil {
+		c.Validity = *opts.Validity
+	}
 	c.Ctx = ctx
-	return c
+	return c, nil
 }
 
 // Check verifies one proof object and returns its conclusion. Failed pure
 // side conditions wrap ErrObligationFailed; cancellation wraps ErrCanceled.
 func (m *Module) Check(ctx context.Context, p Proof, opts CheckOptions) (Claim, error) {
-	return m.Prover(ctx, opts).Check(p)
+	c, err := m.Prover(ctx, opts)
+	if err != nil {
+		return Claim{}, err
+	}
+	return c.Check(p)
 }
 
 // CheckBatch verifies many independent proofs across opts.Workers
 // goroutines; see proof.CheckBatch for the result contract.
 func (m *Module) CheckBatch(ctx context.Context, obs []Obligation, opts CheckOptions) ([]BatchResult, error) {
-	return proof.CheckBatch(ctx, m.Prover(nil, opts), obs, opts.Workers, opts.Progress)
+	c, err := m.Prover(nil, opts)
+	if err != nil {
+		return nil, err
+	}
+	return proof.CheckBatch(ctx, c, obs, opts.Workers, opts.Progress)
 }
 
 // Failures computes the §4 stable-failures model of p to the options'
@@ -670,7 +687,11 @@ func (m *Module) Failures(ctx context.Context, p Proc, opts EngineOptions) (*Fai
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	return failures.ComputeContext(ctx, p, m.Env(), opts.depth())
+	sys, err := m.system()
+	if err != nil {
+		return nil, err
+	}
+	return failures.ComputeContext(ctx, p, sys.Env(), opts.depth())
 }
 
 // Diverges reports whether p can engage in unbounded hidden chatter within
@@ -679,7 +700,11 @@ func (m *Module) Diverges(ctx context.Context, p Proc, opts EngineOptions) (Trac
 	if err := pool.Canceled(ctx); err != nil {
 		return nil, false, err
 	}
-	return failures.Diverges(p, m.Env(), opts.depth())
+	sys, err := m.system()
+	if err != nil {
+		return nil, false, err
+	}
+	return failures.Diverges(p, sys.Env(), opts.depth())
 }
 
 // FailuresRefines checks failures refinement impl ⊑F spec; nil means it
@@ -691,11 +716,6 @@ func FailuresRefines(impl, spec *FailuresModel) (*FailuresCounterexample, error)
 // FailuresEquivalent checks failures equivalence; nil means equivalent.
 func FailuresEquivalent(a, b *FailuresModel) (*FailuresCounterexample, error) {
 	return failures.Equivalent(a, b)
-}
-
-// FormatAssertResults renders CheckAll results as an aligned report.
-func FormatAssertResults(results []AssertResult) string {
-	return core.FormatAssertResults(results)
 }
 
 // Stats aggregates the intern and operator-memo counters across every

@@ -24,6 +24,7 @@ import (
 
 	"cspsat/internal/assertion"
 	"cspsat/internal/auto"
+	"cspsat/internal/core"
 	"cspsat/internal/parser"
 	"cspsat/internal/pool"
 	"cspsat/internal/proof"
@@ -63,12 +64,20 @@ type ProveResult struct {
 // per-result, and results produced before the cancellation are returned
 // alongside the error.
 func (m *Module) ProveAsserts(ctx context.Context, opts CheckOptions, log func(string)) ([]ProveResult, error) {
-	prover := m.Prover(ctx, opts)
+	sys, err := m.system()
+	if err != nil {
+		return nil, err
+	}
+	prover, err := m.Prover(ctx, opts)
+	if err != nil {
+		return nil, err
+	}
 	if log != nil {
 		prover.Log = log
 	}
 	d := &proveDriver{
 		mod:    m,
+		sys:    sys,
 		ctx:    ctx,
 		opts:   opts,
 		prover: prover,
@@ -81,6 +90,7 @@ func (m *Module) ProveAsserts(ctx context.Context, opts CheckOptions, log func(s
 // proveDriver carries the state of one ProveAsserts invocation.
 type proveDriver struct {
 	mod    *Module
+	sys    *core.System
 	ctx    context.Context
 	opts   CheckOptions
 	prover *proof.Checker
@@ -125,7 +135,7 @@ func (d *proveDriver) run() ([]ProveResult, error) {
 		if err := pool.Canceled(d.ctx); err != nil {
 			return results, err
 		}
-		pr, err := auto.Recursive(d.mod.Env(), pending)
+		pr, err := auto.Recursive(d.sys.Env(), pending)
 		if err != nil {
 			var ge *auto.GoalError
 			if errors.As(err, &ge) {
@@ -189,7 +199,7 @@ func (d *proveDriver) proveRemaining(recGoals []goalEntry) ([]ProveResult, error
 			}
 			continue
 		}
-		pr, err := auto.Recursive(d.mod.Env(), []auto.Goal{e.goal})
+		pr, err := auto.Recursive(d.sys.Env(), []auto.Goal{e.goal})
 		if err != nil {
 			results[i].Err = err
 			continue
@@ -236,7 +246,7 @@ func (d *proveDriver) proveNetwork(name string, final assertion.A) (proof.Proof,
 			comps[n] = e.pr
 			claims[n] = e.a
 		}
-		pr, err := auto.Network(d.mod.Env(), name, comps, claims, final)
+		pr, err := auto.Network(d.sys.Env(), name, comps, claims, final)
 		if err == nil {
 			if _, err = d.prover.Check(pr); err == nil {
 				return pr, nil
@@ -294,7 +304,7 @@ func (d *proveDriver) markProved(g auto.Goal, joint []auto.Goal, idx int) {
 	rotated = append(rotated, joint[idx])
 	rotated = append(rotated, joint[:idx]...)
 	rotated = append(rotated, joint[idx+1:]...)
-	if pr, err := auto.Recursive(d.mod.Env(), rotated); err == nil {
+	if pr, err := auto.Recursive(d.sys.Env(), rotated); err == nil {
 		d.addProved(g.Name, g.A, pr)
 		d.joint[provedKey(g.Name, g.A)] = true
 	}
@@ -302,7 +312,7 @@ func (d *proveDriver) markProved(g auto.Goal, joint []auto.Goal, idx int) {
 
 // classify splits asserts into recursion goals and network-shaped asserts.
 func (d *proveDriver) classify() (goals []goalEntry, netDecls []parser.AssertDecl) {
-	for _, decl := range d.mod.Asserts() {
+	for _, decl := range d.sys.Asserts {
 		if decl.A == nil {
 			continue // refinement asserts are the model checker's business
 		}
@@ -310,7 +320,7 @@ func (d *proveDriver) classify() (goals []goalEntry, netDecls []parser.AssertDec
 		if !ok {
 			continue
 		}
-		def, found := d.mod.Syntax().Lookup(ref.Name)
+		def, found := d.sys.Module.Lookup(ref.Name)
 		if !found {
 			continue
 		}
