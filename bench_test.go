@@ -8,7 +8,11 @@
 package cspsat_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"cspsat/internal/assertion"
@@ -25,6 +29,7 @@ import (
 	"cspsat/internal/proofs"
 	"cspsat/internal/runtime"
 	"cspsat/internal/sem"
+	"cspsat/internal/server"
 	"cspsat/internal/syntax"
 	"cspsat/internal/trace"
 	"cspsat/internal/value"
@@ -730,6 +735,82 @@ func BenchmarkUnionAllWide(b *testing.B) {
 			if acc.Size() == 0 {
 				b.Fatal("empty union")
 			}
+		}
+	})
+}
+
+// --- E22: the cspserved request path ---
+
+// serveOnce sends one request through the handler and fails on a non-200.
+func serveOnce(b *testing.B, h http.Handler, path string, body []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.Bytes())
+	}
+}
+
+func requestJSON(b *testing.B, body map[string]any) []byte {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return raw
+}
+
+// BenchmarkE22ServeRoundTrip drives repeat requests through cspserved's
+// real handler stack (decode, admission, module cache, result cache,
+// encode) in process over httptest. The mem/ cases are warm-memory hits;
+// store/traces alternates two specs on a one-module cache, so every
+// request loads its module from the artifact store.
+func BenchmarkE22ServeRoundTrip(b *testing.B) {
+	copier := readSpecSource(b, "copier")
+	cases := []struct {
+		name, path string
+		body       map[string]any
+	}{
+		// The scenario corpus's largest listing: 2,351 traces, ~128 KB.
+		{"traces-multiplier", "/v1/traces", map[string]any{"source": readSpecSource(b, "multiplier"), "process": "multiplier", "depth": 5, "nat": 2}},
+		{"traces-copier", "/v1/traces", map[string]any{"source": copier, "process": "copier", "depth": 5}},
+		{"check-copier", "/v1/check", map[string]any{"source": copier, "depth": 6}},
+		{"refine-buffers", "/v1/refine", map[string]any{"source": readSpecSource(b, "buffers"), "impl": "buf1", "spec": "buf2", "depth": 6}},
+		{"prove-copier", "/v1/prove", map[string]any{"source": copier}},
+	}
+	h := server.New(server.Config{}).Handler()
+	for _, c := range cases {
+		raw := requestJSON(b, c.body)
+		serveOnce(b, h, c.path, raw)
+		b.Run("mem/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				serveOnce(b, h, c.path, raw)
+			}
+		})
+	}
+
+	dir := b.TempDir()
+	bodies := [][]byte{
+		requestJSON(b, map[string]any{"source": copier, "process": "copier", "depth": 5}),
+		requestJSON(b, map[string]any{"source": readSpecSource(b, "protocol"), "process": "protocol", "depth": 5}),
+	}
+	rec := server.New(server.Config{StoreDir: dir})
+	for _, body := range bodies {
+		serveOnce(b, rec.Handler(), "/v1/traces", body)
+	}
+	if err := rec.Close(); err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(server.Config{StoreDir: dir, CacheCapacity: 1})
+	next := 0 // alternates across b.Run's calls too
+	b.Run("store/traces", func(b *testing.B) {
+		b.ReportAllocs()
+		before := srv.Cache().Stats().StoreHits
+		for i := 0; i < b.N; i++ {
+			serveOnce(b, srv.Handler(), "/v1/traces", bodies[next%2])
+			next++
+		}
+		if hits := srv.Cache().Stats().StoreHits - before; hits < uint64(b.N) {
+			b.Fatalf("%d store-tier loads for %d requests", hits, b.N)
 		}
 	})
 }

@@ -25,7 +25,6 @@ package closure
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -517,7 +516,7 @@ func (p *Set) TracesN(limit int) ([]trace.T, bool) {
 		return true
 	}
 	walk(p.root, nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, trace.T.Compare)
 	return out, truncated
 }
 
@@ -587,7 +586,7 @@ func (p *Set) TracesMaxN(limit int) ([]trace.T, bool) {
 		return true
 	}
 	walk(p.root, nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, trace.T.Compare)
 	return out, truncated
 }
 

@@ -56,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,9 +103,9 @@ type Arena struct {
 	events []trace.Event
 
 	bindOnce sync.Once
-	ids      []trace.EventID           // local event index → live id
-	byID     map[trace.EventID]uint32  // live id → local event index
-	order    []uint32                  // edge-table permutation, nil when local order is live order
+	ids      []trace.EventID          // local event index → live id
+	byID     map[trace.EventID]uint32 // live id → local event index
+	order    []uint32                 // edge-table permutation, nil when local order is live order
 
 	thawOnce sync.Once
 	thawed   []*closure.Set
@@ -508,7 +509,7 @@ func (v *NodeView) TracesN(limit int) ([]trace.T, bool) {
 		cp := make(trace.T, len(pfx))
 		copy(cp, pfx)
 		out = append(out, cp)
-		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n + 1)); j++ {
+		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n+1)); j++ {
 			ev, child := v.a.liveEdge(j)
 			if !walk(int(child), append(pfx, v.a.events[ev])) {
 				return false
@@ -517,7 +518,7 @@ func (v *NodeView) TracesN(limit int) ([]trace.T, bool) {
 		return true
 	}
 	walk(int(v.idx), nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, trace.T.Compare)
 	return out, truncated
 }
 
@@ -554,7 +555,7 @@ func (v *NodeView) TracesMaxN(limit int) ([]trace.T, bool) {
 		return true
 	}
 	walk(int(v.idx), nil)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, trace.T.Compare)
 	return out, truncated
 }
 
@@ -568,7 +569,7 @@ func (v *NodeView) WalkDFS(visit func(path trace.T) bool, push, pop func(ev trac
 		if !visit(path) {
 			return false
 		}
-		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n + 1)); j++ {
+		for j := int(v.a.edgeStart(n)); j < int(v.a.edgeStart(n+1)); j++ {
 			evIdx, child := v.a.liveEdge(j)
 			ev := v.a.events[evIdx]
 			if push != nil {

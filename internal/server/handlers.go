@@ -71,8 +71,21 @@ type runRequest struct {
 
 // runResponse is the body of a verification response. Error and Status
 // are filled on failure (Status only inside batch results, where the
-// outer HTTP status cannot carry per-item codes).
+// outer HTTP status cannot carry per-item codes). The envelope fields sit
+// in runHead and runTail, which encoding/json flattens around the
+// payloads, so parts can splice an encoded traces payload in between.
 type runResponse struct {
+	runHead
+	// Exactly one of Traces/Asserts/Proofs/Refine is set, by Kind. Traces
+	// holds the bytes of a csp.TraceSetJSON (csp.EncodeTraceSetJSON).
+	Traces  json.RawMessage        `json:"traces,omitempty"`
+	Asserts []csp.AssertResultJSON `json:"asserts,omitempty"`
+	Proofs  []csp.ProveResultJSON  `json:"proofs,omitempty"`
+	Refine  *csp.RefineResultJSON  `json:"refine,omitempty"`
+	runTail
+}
+
+type runHead struct {
 	// Schema is the wire schema version (csp.WireSchema), stamped into
 	// every /v1/* response body; see DESIGN.md §3.6 for the compatibility
 	// rule.
@@ -88,11 +101,9 @@ type runResponse struct {
 	OK     bool   `json:"ok"`
 	Error  string `json:"error,omitempty"`
 	Status int    `json:"status,omitempty"`
-	// Exactly one of Traces/Asserts/Proofs/Refine is set, by Kind.
-	Traces  *csp.TraceSetJSON      `json:"traces,omitempty"`
-	Asserts []csp.AssertResultJSON `json:"asserts,omitempty"`
-	Proofs  []csp.ProveResultJSON  `json:"proofs,omitempty"`
-	Refine  *csp.RefineResultJSON  `json:"refine,omitempty"`
+}
+
+type runTail struct {
 	// Progress is the engine's final per-stage snapshot for this request.
 	Progress  []csp.ProgressEventJSON `json:"progress,omitempty"`
 	ElapsedMS int64                   `json:"elapsed_ms"`
@@ -100,7 +111,29 @@ type runResponse struct {
 
 // newRunResponse starts a response body with the schema version stamped.
 func newRunResponse(kind string) *runResponse {
-	return &runResponse{Schema: csp.WireSchema, Kind: kind}
+	return &runResponse{runHead: runHead{Schema: csp.WireSchema, Kind: kind}}
+}
+
+// errorResponse is a body that carries only an error.
+func errorResponse(kind, msg string) *runResponse {
+	resp := newRunResponse(kind)
+	resp.Error = msg
+	return resp
+}
+
+// parts renders the body as marshalJSON does, in pieces to be written in
+// order. A traces payload is already encoded, so it goes out as its own
+// piece between the encoded head and tail rather than back through
+// encoding/json, which would re-scan and compact it; the bytes come out
+// the same.
+func (r *runResponse) parts() [][]byte {
+	if r.Traces == nil {
+		return [][]byte{marshalJSON(r)}
+	}
+	head, tail := marshalJSON(&r.runHead), marshalJSON(&r.runTail)
+	head = append(head[:len(head)-len("}\n")], `,"traces":`...)
+	tail[0] = ',' // was the tail object's '{'
+	return [][]byte{head, r.Traces, tail}
 }
 
 // execute runs one verification request on an already-derived engine
@@ -157,8 +190,7 @@ func (s *Server) execute(ctx context.Context, kind string, req runRequest) (*run
 		// parsing, let alone denoting (Module.CachedTraces never forces
 		// the lazy parse; mod.Proc below does).
 		if res, ok := mod.CachedTraces(engine, depth, req.Process); ok {
-			set := csp.EncodeTraceSet(res, req.MaxOnly, limit)
-			resp.Traces = &set
+			resp.Traces = csp.EncodeTraceSetJSON(res, req.MaxOnly, limit)
 			resp.OK = true
 			return resp, nil
 		}
@@ -178,8 +210,7 @@ func (s *Server) execute(ctx context.Context, kind string, req runRequest) (*run
 			return resp, err
 		}
 		mod.StoreTraces(engine, depth, req.Process, res)
-		set := csp.EncodeTraceSet(res, req.MaxOnly, limit)
-		resp.Traces = &set
+		resp.Traces = csp.EncodeTraceSetJSON(res, req.MaxOnly, limit)
 		resp.OK = true
 		return resp, nil
 
@@ -343,9 +374,11 @@ func (s *Server) runHandler(kind string) http.HandlerFunc {
 			resp.Error = err.Error()
 		}
 		s.metrics.record(kind, status, time.Since(started))
-		body := marshalJSON(resp)
-		writeBody(w, status, body)
-		s.record(r, status, raw, body)
+		parts := resp.parts()
+		writeBody(w, status, parts...)
+		if s.journal != nil {
+			s.record(r, status, raw, bytes.Join(parts, nil))
+		}
 	}
 }
 
@@ -381,7 +414,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	if len(req.Requests) == 0 {
 		s.metrics.record("batch", http.StatusBadRequest, 0)
-		writeJSON(w, http.StatusBadRequest, &runResponse{Schema: csp.WireSchema, Kind: "batch", Error: "empty batch"})
+		writeJSON(w, http.StatusBadRequest, errorResponse("batch", "empty batch"))
 		return
 	}
 
@@ -467,7 +500,7 @@ func (s *Server) admitAndDecode(w http.ResponseWriter, r *http.Request, kind str
 		s.metrics.admissionRefused.Add(1)
 		s.metrics.record(kind, http.StatusServiceUnavailable, 0)
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, &runResponse{Schema: csp.WireSchema, Kind: kind, Error: "server draining"})
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse(kind, "server draining"))
 		return nil, false
 	}
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes))
@@ -480,7 +513,7 @@ func (s *Server) admitAndDecode(w http.ResponseWriter, r *http.Request, kind str
 		// A malformed body is a deterministic outcome of the bytes sent, so
 		// the exchange is journaled like any other 400.
 		s.metrics.record(kind, http.StatusBadRequest, 0)
-		body := marshalJSON(&runResponse{Schema: csp.WireSchema, Kind: kind, Error: "decoding request: " + err.Error()})
+		body := marshalJSON(errorResponse(kind, "decoding request: "+err.Error()))
 		writeBody(w, http.StatusBadRequest, body)
 		s.record(r, http.StatusBadRequest, raw, body)
 		return nil, false
@@ -489,12 +522,12 @@ func (s *Server) admitAndDecode(w http.ResponseWriter, r *http.Request, kind str
 		s.metrics.admissionRefused.Add(1)
 		if r.Context().Err() != nil {
 			s.metrics.record(kind, StatusClientClosedRequest, 0)
-			writeJSON(w, StatusClientClosedRequest, &runResponse{Schema: csp.WireSchema, Kind: kind, Error: "client closed request"})
+			writeJSON(w, StatusClientClosedRequest, errorResponse(kind, "client closed request"))
 			return nil, false
 		}
 		s.metrics.record(kind, http.StatusServiceUnavailable, 0)
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, &runResponse{Schema: csp.WireSchema, Kind: kind, Error: "admission limit reached"})
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse(kind, "admission limit reached"))
 		return nil, false
 	}
 	s.inflight.Add(1)
@@ -518,10 +551,13 @@ func marshalJSON(body any) []byte {
 	return buf.Bytes()
 }
 
-func writeBody(w http.ResponseWriter, status int, body []byte) {
+// writeBody writes a response whose body is the concatenation of parts.
+func writeBody(w http.ResponseWriter, status int, parts ...[]byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	for _, p := range parts {
+		_, _ = w.Write(p)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

@@ -21,8 +21,8 @@ import (
 type endpointCounters struct {
 	count        atomic.Uint64
 	errors       atomic.Uint64
-	latencySumMS atomic.Int64
-	latencyMaxMS atomic.Int64
+	latencySumUS atomic.Int64
+	latencyMaxUS atomic.Int64
 }
 
 type metrics struct {
@@ -65,11 +65,11 @@ func (m *metrics) record(kind string, status int, elapsed time.Duration) {
 		if status >= 400 {
 			ep.errors.Add(1)
 		}
-		ms := elapsed.Milliseconds()
-		ep.latencySumMS.Add(ms)
+		us := elapsed.Microseconds()
+		ep.latencySumUS.Add(us)
 		for {
-			max := ep.latencyMaxMS.Load()
-			if ms <= max || ep.latencyMaxMS.CompareAndSwap(max, ms) {
+			max := ep.latencyMaxUS.Load()
+			if us <= max || ep.latencyMaxUS.CompareAndSwap(max, us) {
 				break
 			}
 		}
@@ -79,12 +79,13 @@ func (m *metrics) record(kind string, status int, elapsed time.Duration) {
 	m.mu.Unlock()
 }
 
-// EndpointSnapshot is one endpoint's cumulative counters.
+// EndpointSnapshot is one endpoint's cumulative counters. Latency is in
+// µs: a result-cache hit takes well under a millisecond.
 type EndpointSnapshot struct {
 	Count        uint64 `json:"count"`
 	Errors       uint64 `json:"errors"`
-	LatencySumMS int64  `json:"latency_sum_ms"`
-	LatencyMaxMS int64  `json:"latency_max_ms"`
+	LatencySumUS int64  `json:"latency_sum_us"`
+	LatencyMaxUS int64  `json:"latency_max_us"`
 }
 
 // Snapshot is the /metrics document.
@@ -149,8 +150,8 @@ func (s *Server) Snapshot() Snapshot {
 		snap.Endpoints[k] = EndpointSnapshot{
 			Count:        ep.count.Load(),
 			Errors:       ep.errors.Load(),
-			LatencySumMS: ep.latencySumMS.Load(),
-			LatencyMaxMS: ep.latencyMaxMS.Load(),
+			LatencySumUS: ep.latencySumUS.Load(),
+			LatencyMaxUS: ep.latencyMaxUS.Load(),
 		}
 	}
 	for name, c := range s.metrics.models {

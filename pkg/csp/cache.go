@@ -54,6 +54,10 @@ type ModuleCache struct {
 	storeMapped       uint64
 	storeBytesRead    uint64
 	storeBytesWritten uint64
+
+	// wire is the budget the resident modules' memoized trace listings
+	// are charged to (EncodeTraceSetJSON).
+	wire wireBudget
 }
 
 type cacheEntry struct {
@@ -325,10 +329,13 @@ func (c *ModuleCache) add(key string, m *Module) {
 		return
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, mod: m})
+	m.res.attachWire(&c.wire)
 	for c.order.Len() > c.capacity {
 		last := c.order.Back()
 		c.order.Remove(last)
-		delete(c.entries, last.Value.(*cacheEntry).key)
+		e := last.Value.(*cacheEntry)
+		delete(c.entries, e.key)
+		e.mod.res.detachWire()
 		c.evicted++
 	}
 }
@@ -343,14 +350,17 @@ type ModuleCacheStats struct {
 	// Coalesced counts requests that joined an in-progress load of the
 	// same key instead of parsing it themselves.
 	Coalesced uint64 `json:"coalesced"`
+	// WireMemoBytes is the gauge of encoded trace listings the resident
+	// modules keep for EncodeTraceSetJSON, at most WireMemoBudget.
+	WireMemoBytes int64 `json:"wire_memo_bytes"`
 	// The Store* counters cover the on-disk tier (zero without SetStore):
 	// artifacts rehydrated (hits), keys with no artifact (misses), corrupt
 	// or stale artifacts skipped (corrupt), artifacts written (puts), and
 	// bytes moved in each direction.
-	StoreHits         uint64 `json:"store_hits"`
-	StoreMisses       uint64 `json:"store_misses"`
-	StoreCorrupt      uint64 `json:"store_corrupt"`
-	StorePuts         uint64 `json:"store_puts"`
+	StoreHits    uint64 `json:"store_hits"`
+	StoreMisses  uint64 `json:"store_misses"`
+	StoreCorrupt uint64 `json:"store_corrupt"`
+	StorePuts    uint64 `json:"store_puts"`
 	// StoreMapped counts store hits loaded through the zero-copy mapped
 	// path: the module's trie arena aliases the file image (mmap'd pages
 	// on unix, one flat read elsewhere) instead of being rebuilt node by
@@ -371,6 +381,7 @@ func (c *ModuleCache) Stats() ModuleCacheStats {
 		Misses:            c.misses,
 		Evicted:           c.evicted,
 		Coalesced:         c.coalesced,
+		WireMemoBytes:     c.wire.used.Load(),
 		StoreHits:         c.storeHits,
 		StoreMisses:       c.storeMisses,
 		StoreCorrupt:      c.storeCorrupt,

@@ -305,6 +305,12 @@ type TraceResult struct {
 	// thawed caches the one-time rebuild through the interner.
 	frozen closure.View
 	thawed atomic.Pointer[TraceSet]
+
+	// owner is the results cache of the module the result was first
+	// recorded on (StoreTraces); wire holds the listings EncodeTraceSetJSON
+	// keeps, indexed by maxOnly, charged to the owner's budget.
+	owner atomic.Pointer[resultsCache]
+	wire  [2]atomic.Pointer[wireListing]
 }
 
 // TraceView is the read-only query surface shared by live interned sets

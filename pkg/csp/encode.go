@@ -6,6 +6,11 @@
 package csp
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"sync/atomic"
+
 	"cspsat/internal/failures"
 	"cspsat/internal/progress"
 )
@@ -63,9 +68,12 @@ func EncodeTraceSet(r *TraceResult, maxOnly bool, limit int) TraceSetJSON {
 	// arena — the response is byte-identical either way (the View contract),
 	// and serving never forces a rebuild.
 	v := r.View()
-	traces, truncated := v.TracesN(limit)
+	var traces []Trace
+	var truncated bool
 	if maxOnly {
 		traces, truncated = v.TracesMaxN(limit)
+	} else {
+		traces, truncated = v.TracesN(limit)
 	}
 	out := TraceSetJSON{
 		Engine:     r.Engine.String(),
@@ -80,6 +88,71 @@ func EncodeTraceSet(r *TraceResult, maxOnly bool, limit int) TraceSetJSON {
 		out.Traces = append(out.Traces, EncodeTrace(t))
 	}
 	return out
+}
+
+// WireMemoBudget bounds, per ModuleCache, the bytes of encoded trace
+// listings that EncodeTraceSetJSON keeps on the results of the cache's
+// resident modules. A listing that would take the total past it is
+// encoded on every call instead, as if nothing were memoized. Evicting a
+// module gives its listings' bytes back.
+const WireMemoBudget = 32 << 20
+
+// wireMemoBudget is the budget in force: WireMemoBudget, lowered by tests
+// to reach the over-budget path.
+var wireMemoBudget int64 = WireMemoBudget
+
+// wireListing is one memoized traces object: the bytes EncodeTraceSetJSON
+// returned for a listing encoded under limit.
+type wireListing struct {
+	limit int
+	body  []byte
+}
+
+// wireBudget counts the memoized listing bytes of one ModuleCache's
+// resident modules against wireMemoBudget.
+type wireBudget struct{ used atomic.Int64 }
+
+func (b *wireBudget) reserve(n int) bool {
+	for {
+		used := b.used.Load()
+		if used+int64(n) > wireMemoBudget {
+			return false
+		}
+		if b.used.CompareAndSwap(used, used+int64(n)) {
+			return true
+		}
+	}
+}
+
+func (b *wireBudget) release(n int) { b.used.Add(-int64(n)) }
+
+// EncodeTraceSetJSON is EncodeTraceSet rendered to bytes: the compact
+// JSON, without HTML escaping, that encoding/json writes for the
+// TraceSetJSON inside a cspserved response. A result recorded on a module
+// resident in a ModuleCache keeps one listing per maxOnly, the widest
+// limit encoded so far, within WireMemoBudget; a later call with the same
+// limit returns the kept bytes without walking the set. Narrower limits
+// are encoded per call and never replace the kept listing. The returned
+// bytes are shared and must not be modified.
+func EncodeTraceSetJSON(r *TraceResult, maxOnly bool, limit int) []byte {
+	slot := &r.wire[0]
+	if maxOnly {
+		slot = &r.wire[1]
+	}
+	if w := slot.Load(); w != nil && w.limit == limit {
+		return w.body
+	}
+	set := EncodeTraceSet(r, maxOnly, limit)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(set); err != nil {
+		// TraceSetJSON holds only strings, ints and bools.
+		panic(fmt.Sprintf("csp: encoding a trace listing: %v", err))
+	}
+	body := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+	r.memoize(slot, &wireListing{limit: limit, body: body})
+	return body
 }
 
 // ViolationJSON is a counterexample to P sat R.

@@ -17,3 +17,11 @@ func RestampArtifactVersionForTest(data []byte, version uint32) []byte {
 	binary.LittleEndian.PutUint64(mut[len(mut)-8:], sum)
 	return mut
 }
+
+// SetWireMemoBudgetForTest lowers the budget EncodeTraceSetJSON keeps
+// listings under and returns a function that restores it.
+func SetWireMemoBudgetForTest(n int64) (restore func()) {
+	old := wireMemoBudget
+	wireMemoBudget = n
+	return func() { wireMemoBudget = old }
+}

@@ -9,6 +9,7 @@ package csp
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cspsat/internal/model"
 )
@@ -42,12 +43,77 @@ type resultsCache struct {
 	// the mutex). The module cache uses it to persist the module's
 	// artifact; see ModuleCache.SetStore.
 	onResult func()
+	// wire is the budget of the ModuleCache the module is resident in;
+	// nil outside one, and then no listing is memoized.
+	wire *wireBudget
 }
 
 func (rc *resultsCache) setOnResult(f func()) {
 	rc.mu.Lock()
 	rc.onResult = f
 	rc.mu.Unlock()
+}
+
+// attachWire charges the module's memoized listings to b from now on.
+func (rc *resultsCache) attachWire(b *wireBudget) {
+	rc.mu.Lock()
+	rc.wire = b
+	rc.mu.Unlock()
+}
+
+// detachWire drops the memoized listings of the module's trace results
+// and gives their bytes back to the budget they were charged to.
+func (rc *resultsCache) detachWire() {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.wire == nil {
+		return
+	}
+	n := 0
+	for _, r := range rc.traces {
+		if r.owner.Load() != rc {
+			continue
+		}
+		for i := range r.wire {
+			if w := r.wire[i].Swap(nil); w != nil {
+				n += len(w.body)
+			}
+		}
+	}
+	rc.wire.release(n)
+	rc.wire = nil
+}
+
+// memoize keeps w in slot if r's owner is resident in a ModuleCache and
+// the budget has room, unless the slot already holds a listing encoded
+// under a limit at least as wide. Requests can only lower the server's
+// cap, so the listing kept in the end is the default one, and a sweep of
+// lower limits never replaces it. Holding the owner's mutex orders this
+// with detachWire, so no listing outlives its module's residency.
+func (r *TraceResult) memoize(slot *atomic.Pointer[wireListing], w *wireListing) {
+	rc := r.owner.Load()
+	if rc == nil {
+		return
+	}
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	old := slot.Load()
+	if rc.wire == nil || old != nil && !wider(w.limit, old.limit) || !rc.wire.reserve(len(w.body)) {
+		return
+	}
+	slot.Store(w)
+	if old != nil {
+		rc.wire.release(len(old.body))
+	}
+}
+
+// wider reports whether listing limit a lists more than limit b, where a
+// limit <= 0 is unlimited.
+func wider(a, b int) bool {
+	if a <= 0 {
+		return b > 0
+	}
+	return b > 0 && a > b
 }
 
 func (rc *resultsCache) notify() {
@@ -94,6 +160,7 @@ func (m *Module) StoreTraces(engine Engine, depth int, process string, r *TraceR
 		m.res.traces = map[traceResultKey]*TraceResult{}
 	}
 	m.res.traces[key] = r
+	r.owner.CompareAndSwap(nil, &m.res)
 	m.res.mu.Unlock()
 	m.res.notify()
 }
